@@ -38,6 +38,7 @@ from .gb import (
     hilbert_series_monomial,
     ideal_equal,
     krull_dimension,
+    local_colength,
     normal_form,
     poly_gcd,
     poly_lcm,

@@ -29,18 +29,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import GermlabError, ParseError, PreconditionError, ResourceLimitError
-from .gb import (
-    GuardConfig,
-    Ideal,
-    buchberger_basis,
-    staircase_monomials,
-)
+from .gb import GuardConfig, Ideal, buchberger_basis
 from .germ import (
+    _mono_str,
     fiber_points_count,
     image_ideal,
     is_smooth_at_origin,
-    lelong_degree,
-    local_multiplicity,
+    local_multiplicity_report,
     singular_locus,
     tangent_cone,
 )
@@ -55,7 +50,7 @@ from .intersect import (
     stoll_check,
     verify_intersection_formula,
 )
-from .orders import LOCAL_DEGREVLEX, DEGREVLEX, order_from_name
+from .orders import order_from_name
 from .parse import Scenario, parse_point, parse_polynomial, parse_scenario
 from .poly import INFINITY, PolyMap, PolyRing, jacobian_determinant
 
@@ -183,18 +178,6 @@ def _ideal_strs(I: Ideal) -> List[str]:
     return [str(g) for g in I.generators]
 
 
-def _staircase_strs(ring: PolyRing, stairs) -> List[str]:
-    out = []
-    for e in stairs or []:
-        parts = [
-            name if k == 1 else f"{name}^{k}"
-            for name, k in zip(ring.variables, e)
-            if k
-        ]
-        out.append("*".join(parts) if parts else "1")
-    return out
-
-
 def _handle_gb(ctx: CommandContext):
     ring = ctx.ideal_side_ring()
     I = ctx.the_ideal(ring)
@@ -206,23 +189,14 @@ def _handle_gb(ctx: CommandContext):
         "is_local": gb.is_local,
     }
     witnesses = {
-        "leading_monomials": _staircase_strs(ring, gb.leading_exponents),
+        "leading_monomials": [_mono_str(ring, e) for e in gb.leading_exponents],
     }
     return result, witnesses, []
 
 
 def _handle_mult(ctx: CommandContext):
-    F = ctx.the_map()
-    value = local_multiplicity(F, ctx.guards)
-    I = Ideal(F.domain, F.components)
-    gb = I.basis(LOCAL_DEGREVLEX, ctx.guards)
-    stairs = staircase_monomials(I, LOCAL_DEGREVLEX, ctx.guards)
-    result = {"local_multiplicity": value}
-    witnesses = {
-        "standard_basis": [str(p) for p in gb.basis],
-        "staircase": _staircase_strs(F.domain, stairs),
-    }
-    return result, witnesses, []
+    report = local_multiplicity_report(ctx.the_map(), ctx.guards)
+    return {"local_multiplicity": report.value}, dict(report.witness), []
 
 
 def _handle_degree(ctx: CommandContext):

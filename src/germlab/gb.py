@@ -8,6 +8,15 @@ one pair-processing loop with the coprime-leading-term criterion and the
 chain criterion, normal selection strategy (minimal lcm degree first, then
 first-come), and a final interreduction to the unique reduced basis.
 
+The local colength m_0 = dim O_0/(I) needs no standard basis:
+:func:`local_colength` counts h(D) = dim Q[x]/(I + m^D) on the truncated
+Macaulay matrix (:mod:`germlab.macaulay`) and stops at the first d >= 1 with
+h(d+1) = h(d), where Nakayama gives m^d in I*O_0; h above the Bezout number
+certifies that the germ is not finite.  Only when neither certificate fires
+within ``max_degree`` (and ``macaulay.MAX_COLUMNS`` columns) does it hand
+the ideal to Mora, which still provides tangent cones and standard-basis
+witnesses.
+
 On top of the bases: elimination ideals via block orders, radical membership
 via the Rabinowitsch trick, staircase/quotient dimensions, Hilbert series of
 monomial ideals by recursive pivot splitting, Krull dimension from the pole
@@ -35,6 +44,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from .errors import PreconditionError, ResourceLimitError
 from .orders import (
     DEGREVLEX,
+    LOCAL_DEGREVLEX,
     Exponents,
     MonomialOrder,
     block_order,
@@ -43,6 +53,7 @@ from .orders import (
     mono_lcm,
     mono_mul,
 )
+from .macaulay import Colength, macaulay_colength
 from .poly import INFINITY, Polynomial, PolyRing, exact_divide
 
 
@@ -636,6 +647,30 @@ def staircase_monomials(I: Ideal, order: MonomialOrder = DEGREVLEX,
     out: List[Exponents] = []
     _count_staircase(leading, bounds, out)
     return out
+
+
+def local_colength(I: Ideal, guards: GuardConfig = DEFAULT_GUARDS) -> Colength:
+    """m_0 = dim O_0/(I) at the origin with its local staircase, or
+    (INFINITY, None) when V(I) is not isolated at 0.
+
+    The truncated Macaulay matrix decides (:mod:`germlab.macaulay`): it
+    stops at the first d >= 1 with h(d+1) = h(d) for h(D) = dim Q[x]/(I+m^D),
+    or certifies "not finite" once h exceeds the Bezout number.  Its
+    truncation degree never exceeds ``guards.max_degree``, nor its column
+    count ``macaulay.MAX_COLUMNS``; when neither certificate fires within
+    those, the answer comes from Mora's standard basis under the same guards,
+    so every germ Mora decides is still decided.
+    """
+    if any(g.constant_term() != 0 for g in I.generators):
+        return 0, []
+    found = macaulay_colength(I.ring.arity, I.generators, guards.max_degree,
+                              lambda: _check_cancel(guards))
+    if found is not None:
+        return found
+    dim = quotient_dimension(I, LOCAL_DEGREVLEX, guards)
+    if dim == INFINITY:
+        return INFINITY, None
+    return dim, staircase_monomials(I, LOCAL_DEGREVLEX, guards)
 
 
 def _minimalize_monomials(gens: Iterable[Exponents]) -> Tuple[Exponents, ...]:

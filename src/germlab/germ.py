@@ -1,11 +1,13 @@
 """Germ-level invariants at the origin.
 
 Local multiplicity of a finite square map germ (dimension of the local
-algebra, via a standard basis staircase), tangent cones (ideals of initial
-forms of a standard basis), Lelong numbers computed as the Hilbert-Samuel
-multiplicity of the tangent cone, Zariski closures of images by elimination,
-singular loci by Jacobian minors, the Jacobian smoothness test at the origin,
-and exact fiber point counting.
+algebra, from the truncated Macaulay matrix of :func:`gb.local_colength`,
+which hands over to Mora's standard basis only when it cannot decide within
+its limits), tangent cones (ideals of initial forms of a standard
+basis), Lelong numbers computed as the Hilbert-Samuel multiplicity of the
+tangent cone, Zariski closures of images by elimination, singular loci by
+Jacobian minors, the Jacobian smoothness test at the origin, and exact fiber
+point counting.
 
 Only polynomial defining data is accepted; the local monomial order is what
 carries the "arbitrarily small neighbourhood of 0" semantics, and fiber
@@ -24,11 +26,12 @@ from .gb import (
     DEFAULT_GUARDS,
     GuardConfig,
     Ideal,
+    _check_cancel,
     eliminate,
     hilbert_samuel_multiplicity,
     krull_dimension,
+    local_colength,
     quotient_dimension,
-    staircase_monomials,
     univariate_eliminant,
     zero_dim_radical,
 )
@@ -65,31 +68,39 @@ def germ_ideal(F: PolyMap) -> Ideal:
     return Ideal(F.domain, F.components)
 
 
-def local_multiplicity(F: PolyMap,
-                       guards: GuardConfig = DEFAULT_GUARDS) -> int:
-    """Covering number m_0(F) of a finite square germ: the local algebra
-    dimension, i.e. the staircase count of a standard basis of (F_1..F_m)."""
+def _local_colength(F: PolyMap, guards: GuardConfig):
     F.require_square()
     F.require_germ()
-    dim = quotient_dimension(germ_ideal(F), LOCAL_DEGREVLEX, guards)
+    I = germ_ideal(F)
+    dim, stairs = local_colength(I, guards)
     if dim == INFINITY:
         raise PreconditionError("map germ is not finite at 0")
-    return int(dim)
+    return I, int(dim), stairs
+
+
+def local_multiplicity(F: PolyMap,
+                       guards: GuardConfig = DEFAULT_GUARDS) -> int:
+    """Covering number m_0(F) of a finite square germ: the dimension of the
+    local algebra O_0/(F_1..F_m), from the truncated Macaulay matrix of
+    :func:`gb.local_colength` (Mora's standard basis only when that cannot
+    decide within its limits)."""
+    return _local_colength(F, guards)[1]
 
 
 def local_multiplicity_report(F: PolyMap,
                               guards: GuardConfig = DEFAULT_GUARDS) -> GermReport:
-    value = local_multiplicity(F, guards)
-    I = germ_ideal(F)
+    """m_0(F) with its witnesses: the local staircase, which comes with the
+    value, and Mora's standard basis of (F), whose leading monomials bound
+    that staircase."""
+    I, value, stairs = _local_colength(F, guards)
     gb = I.basis(LOCAL_DEGREVLEX, guards)
-    stairs = staircase_monomials(I, LOCAL_DEGREVLEX, guards)
     return GermReport(
         "local_multiplicity",
         {"map": str(F)},
         value,
         {
             "standard_basis": [str(p) for p in gb.basis],
-            "staircase": [_mono_str(F.domain, e) for e in (stairs or [])],
+            "staircase": [_mono_str(F.domain, e) for e in stairs],
         },
     )
 
@@ -326,7 +337,7 @@ def rational_points(I: Ideal, guards: GuardConfig = DEFAULT_GUARDS
     per_var_roots: List[List[Fraction]] = []
     for i in range(I.ring.arity):
         g = univariate_eliminant(I, i, guards)
-        per_var_roots.append(_rational_roots(g))
+        per_var_roots.append(_rational_roots(g, guards))
     points: List[Tuple[Fraction, ...]] = []
 
     def rec(prefix: Tuple[Fraction, ...]):
@@ -341,13 +352,17 @@ def rational_points(I: Ideal, guards: GuardConfig = DEFAULT_GUARDS
     return sorted(points)
 
 
-def _rational_roots(g: Polynomial) -> List[Fraction]:
-    """Rational roots of a univariate polynomial, by the rational root theorem."""
+def _rational_roots(g: Polynomial,
+                    guards: GuardConfig = DEFAULT_GUARDS) -> List[Fraction]:
+    """Rational roots of a univariate polynomial, by the rational root theorem.
+
+    Divisors are found by trial division up to the square root, which polls
+    ``guards.cancel`` every 4096 candidates."""
     coeffs = [0] * (g.total_degree() + 1)
     for (e,), c in g.terms:
         coeffs[e] = c
     # clear denominators to integers
-    from math import gcd, lcm
+    from math import isqrt, lcm
 
     den = 1
     for c in coeffs:
@@ -369,16 +384,18 @@ def _rational_roots(g: Polynomial) -> List[Fraction]:
 
     def divisors(n: int) -> List[int]:
         out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
+        root = isqrt(n)
+        for start in range(1, root + 1, 4096):
+            _check_cancel(guards)
+            for d in range(start, min(start + 4096, root + 1)):
+                if n % d == 0:
+                    out.append(d)
+                    out.append(n // d)
         return out
 
+    lead_divisors = divisors(lead)
     for p in divisors(tail):
-        for q in divisors(lead):
+        for q in lead_divisors:
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if cand in roots:
                     continue

@@ -1,5 +1,7 @@
 """Groebner/standard bases, elimination, radicals, staircases, Hilbert series."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,14 @@ from germlab import (
     zero_dim_radical,
 )
 from germlab.errors import PreconditionError, ResourceLimitError
-from germlab.gb import hilbert_series_coefficients, univariate_squarefree
+from germlab.gb import (
+    ComputationCancelled,
+    hilbert_series_coefficients,
+    local_colength,
+    univariate_squarefree,
+)
+from germlab import macaulay
+from germlab.macaulay import truncated_colengths
 from germlab.intersect import SplitMix64
 
 from helpers import P, brute_monomials_by_degree, random_polynomial
@@ -228,6 +237,146 @@ def test_zero_ideal_infinite():
 
 def test_positive_dimensional_infinite():
     assert quotient_dimension(Ideal(R2, [R2.var("x")])) == INFINITY
+
+
+# -- local colength: the truncated Macaulay matrix ----------------------------------
+
+XYZ = PolyRing(("x", "y", "z"))
+
+
+def _seeded_germ(seed, ring):
+    """A pure power x_i^a (a = 2..4) plus up to two random terms per component."""
+    rng = SplitMix64(seed)
+    gens = []
+    for i in range(ring.arity):
+        e = [0] * ring.arity
+        e[i] = rng.randint(2, 4)
+        gens.append(ring.monomial(e, rng.randint(1, 3))
+                    + random_polynomial(rng, ring, max_degree=4, max_terms=2,
+                                        force_germ=True))
+    return gens
+
+
+def _steps(I, count=None):
+    """h(1), h(2), ...: ``count`` of them, or up to the first repeat."""
+    steps = truncated_colengths(I.ring.arity, I.generators, 64, lambda: None, {})
+    if count is not None:
+        return list(itertools.islice(steps, count))
+    hs = []
+    for h in steps:
+        hs.append(h)
+        if len(hs) >= 2 and hs[-1] == hs[-2]:
+            return hs
+    return hs
+
+
+@pytest.mark.parametrize("ring,seeds", [(R2, range(30)), (XYZ, range(12))])
+def test_local_colength_matches_mora(ring, seeds):
+    for seed in seeds:
+        gens = _seeded_germ(seed, ring)
+        mora = Ideal(ring, gens)
+        value, stairs = local_colength(Ideal(ring, gens))
+        assert value == quotient_dimension(mora, LOCAL_DEGREVLEX)
+        if value == INFINITY:
+            assert stairs is None
+            continue
+        assert stairs == sorted(staircase_monomials(mora, LOCAL_DEGREVLEX))
+        # h(D) = dim Q[x]/(I + m^D) counts the local standard monomials of
+        # degree < D, for every D up to stabilization
+        lead = mora.basis(LOCAL_DEGREVLEX).leading_exponents
+        hs = _steps(Ideal(ring, gens))
+        assert hs[-1] == value
+        per_degree = brute_monomials_by_degree(lead, ring.arity, len(hs))
+        for D, h in enumerate(hs, start=1):
+            assert h == sum(per_degree[:D]), (seed, D)
+
+
+def test_local_colength_of_triangular_germs():
+    rng = SplitMix64(17)
+    for a, b, c in ((2, 2, 3), (2, 3, 4), (3, 4, 2), (4, 3, 3)):
+        h = random_polynomial(rng, XYZ, max_degree=3, max_terms=2, force_germ=True)
+        k = random_polynomial(rng, XYZ, max_degree=3, max_terms=2, force_germ=True)
+        x, y, z = XYZ.gens()
+        # substitute so that h only sees (y, z) and k only sees z
+        h = h.substitute([y, y, z]) * y
+        k = k.substitute([z, z, z]) * z
+        I = Ideal(XYZ, [x ** a + h, y ** b + k, z ** c])
+        value, stairs = local_colength(I)
+        assert value == a * b * c == len(stairs)
+        assert not I._cache  # decided without a standard basis
+
+
+def test_local_colength_of_brieskorn_pham_germs():
+    x, y, z = XYZ.gens()
+    for a, b, c in ((2, 3, 4), (3, 3, 3), (4, 4, 5), (5, 2, 3)):
+        # perturbations above the Newton boundary keep the product
+        I = Ideal(XYZ, [x ** a + 3 * y ** b * z, 2 * y ** b - x ** a * z,
+                        z ** c + x * y ** b])
+        assert local_colength(I)[0] == a * b * c
+
+
+def test_local_colength_closed_form_27():
+    I = Ideal(XYZ, [P("x^3+y^2*z+z^4", XYZ), P("y^3+x*z^2", XYZ),
+                    P("z^3+x^2*y+x*y*z", XYZ)])
+    value, stairs = local_colength(I)
+    assert value == 27
+    assert stairs == sorted(staircase_monomials(I, LOCAL_DEGREVLEX))
+
+
+def test_local_colength_more_generators_than_variables():
+    I = Ideal(R2, [P("x^2", R2), P("y^2", R2), P("x*y", R2)])
+    assert local_colength(I) == (3, [(0, 0), (0, 1), (1, 0)])
+
+
+def test_local_colength_of_a_unit_is_zero():
+    assert local_colength(Ideal(R2, [P("1 + x", R2), P("y", R2)])) == (0, [])
+
+
+@pytest.mark.parametrize("gens", [
+    ["x*y", "x"],
+    ["x^2 + y^3"],
+    ["x^4+y*t^3", "y^4+x*t^3", "x*y"],
+])
+def test_local_colength_not_finite(gens):
+    ring = R3 if any("t" in g for g in gens) else R2
+    I = Ideal(ring, [P(g, ring) for g in gens])
+    assert local_colength(I) == (INFINITY, None)
+    assert not I._cache  # certified by the Bezout number, not by Mora
+
+
+def test_local_colength_hands_off_to_mora_at_max_degree():
+    # h(D) = D + 60 from D = 11 on: below the Bezout number 216 up to D = 156,
+    # so no certificate fires within max_degree = 16 and Mora decides
+    I = Ideal(XYZ, [P("x^6+y*z^5+y^6", XYZ), P("y^6+x*z^5", XYZ),
+                    P("x*y+x^2*z^4", XYZ)])
+    assert _steps(I, 16)[10:] == [71, 72, 73, 74, 75, 76]
+    assert local_colength(I, GuardConfig(max_degree=16)) == (INFINITY, None)
+    assert LOCAL_DEGREVLEX.cache_key in I._cache
+
+
+def test_local_colength_hands_off_to_mora_at_max_columns(monkeypatch):
+    monkeypatch.setattr(macaulay, "MAX_COLUMNS", 30)
+    I = Ideal(XYZ, [P("x^3+y^2*z+z^4", XYZ), P("y^3+x*z^2", XYZ),
+                    P("z^3+x^2*y+x*y*z", XYZ)])
+    assert len(_steps(I, 64)) == 4  # 35 columns for degree <= 4
+    value, stairs = local_colength(I)
+    assert value == 27 == len(stairs)
+    assert LOCAL_DEGREVLEX.cache_key in I._cache
+
+
+def test_local_colength_cancels_inside_the_engine():
+    I = Ideal(XYZ, [P("x^5 + y^4 + x*z^3", XYZ), P("y^5 + z^4 + x^2*y^2", XYZ),
+                    P("z^5 + x^4*y + y^3*z", XYZ)])
+    polls = []
+
+    def cancel():
+        polls.append(1)
+        return len(polls) > 50
+
+    with pytest.raises(ComputationCancelled):
+        local_colength(I, GuardConfig(cancel=cancel))
+    assert len(polls) == 51
+    assert not I._cache
 
 
 # -- hilbert series ----------------------------------------------------------------

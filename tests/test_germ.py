@@ -1,10 +1,15 @@
 """Germ invariants: local multiplicity, cones, Lelong numbers, images, fibers."""
 
+import time
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germlab import (
+    LOCAL_DEGREVLEX,
+    GuardConfig,
     Ideal,
     PolyMap,
     PolyRing,
@@ -21,7 +26,8 @@ from germlab import (
     tangent_cone,
 )
 from germlab.errors import PreconditionError
-from germlab.germ import local_multiplicity_report
+from germlab.gb import ComputationCancelled
+from germlab.germ import _rational_roots, local_multiplicity_report
 from germlab.intersect import SplitMix64
 
 from helpers import P, random_polynomial
@@ -76,6 +82,48 @@ def test_multiplicity_witness_rechecks():
     report = local_multiplicity_report(F)
     assert report.value == 3
     assert len(report.witness["staircase"]) == report.value
+
+
+def _degree_k_germ(k):
+    R = PolyRing(("x", "y", "z"))
+    return PolyMap((P(f"x^{k} + y^{k - 1} + x*z^{k - 2}", R),
+                    P(f"y^{k} + z^{k - 1} + x^2*y^{k - 3}", R),
+                    P(f"z^{k} + x^{k - 1}*y + y^{k - 2}*z", R)))
+
+
+@pytest.mark.parametrize("k,expected", [(3, 8), (4, 32), (5, 74)])
+def test_degree_k_family_pinned(k, expected):
+    # k = 4, 5 stall Mora; the Macaulay matrix stops at degree 13 or below
+    assert local_multiplicity(_degree_k_germ(k)) == expected
+
+
+def test_curve_germ_is_not_finite_after_the_mora_hand_off():
+    R = PolyRing(("x", "y", "z"))
+    F = PolyMap((P("x^6+y*z^5+y^6", R), P("y^6+x*z^5", R), P("x*y+x^2*z^4", R)))
+    with pytest.raises(PreconditionError) as info:
+        local_multiplicity(F, GuardConfig(max_degree=16))
+    assert "not finite" in str(info.value)
+
+
+def test_non_finite_with_a_zero_component():
+    F = PolyMap((P("x^2 + y^3", R2), R2.zero()))
+    with pytest.raises(PreconditionError):
+        local_multiplicity(F)
+
+
+def test_report_staircase_is_the_standard_basis_staircase():
+    R = PolyRing(("x", "y", "z"))
+    F = PolyMap((P("x^3+y^2*z+z^4", R), P("y^3+x*z^2", R),
+                 P("z^3+x^2*y+x*y*z", R)))
+    report = local_multiplicity_report(F)
+    assert report.value == 27 == len(report.witness["staircase"])
+    I = Ideal(R, F.components)
+    gb = I.basis(LOCAL_DEGREVLEX)
+    assert report.witness["standard_basis"] == [str(p) for p in gb.basis]
+    leading = gb.leading_exponents
+    for text in report.witness["staircase"]:
+        e = P(text, R).terms[0][0]
+        assert not any(all(a <= b for a, b in zip(l, e)) for l in leading)
 
 
 # -- tangent cones ----------------------------------------------------------------
@@ -269,3 +317,20 @@ def test_rational_points_of_fiber():
 
     pts = rational_points(fiber_ideal(F, (1, 0)))
     assert pts == [(-1, 0), (1, 0)]
+
+
+def test_rational_roots_poll_the_cancel_token():
+    # trial division up to sqrt(10^16 + 61) would run for seconds
+    R1 = PolyRing(("x",))
+    I = Ideal(R1, [P("x^2 - 10000000000000061", R1)])
+    start = time.perf_counter()
+    guards = GuardConfig(cancel=lambda: time.perf_counter() > start + 0.05)
+    with pytest.raises(ComputationCancelled):
+        rational_points(I, guards)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rational_roots_of_a_product():
+    R1 = PolyRing(("x",))
+    g = P("(3*x - 1)*(2*x + 5)*(x^2 + 1)*x", R1)
+    assert _rational_roots(g) == [Fraction(-5, 2), 0, Fraction(1, 3)]
