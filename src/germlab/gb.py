@@ -17,11 +17,19 @@ within ``max_degree`` (and ``macaulay.MAX_COLUMNS`` columns) does it hand
 the ideal to Mora, which still provides tangent cones and standard-basis
 witnesses.
 
-On top of the bases: elimination ideals via block orders, radical membership
-via the Rabinowitsch trick, staircase/quotient dimensions, Hilbert series of
+On top of the bases: elimination ideals via block orders (for the
+positive-dimensional questions: images, lcm), radical membership via the
+Rabinowitsch trick, staircase/quotient dimensions, Hilbert series of
 monomial ideals by recursive pivot splitting, Krull dimension from the pole
-order of the Hilbert series, zero-dimensional radicals via squarefree
-eliminants, and gcd/lcm/squarefree-part utilities built on elimination.
+order of the Hilbert series, and gcd/lcm/squarefree-part utilities built on
+elimination.
+
+Zero-dimensional ideals need no elimination order.  Their univariate
+eliminants are minimal polynomials of the multiplication maps M_{x_i} on
+Q[x]/I, written on the degrevlex staircase and found by a Krylov sequence
+(the linear-algebra step of FGLM); radicals adjoin the squarefree parts of
+the eliminants (Seidenberg), and stop early when one eliminant is squarefree
+of degree dim Q[x]/I (shape lemma: the ideal is already radical).
 
 Interreduction returns the unique reduced basis for global orders; for the
 local order fully reduced tails need not exist (the reduced form can be an
@@ -413,10 +421,11 @@ class Ideal:
 
     Zero generators are dropped at construction; an empty generator list
     represents the zero ideal.  The basis cache is write-once per order key
-    and recomputation is idempotent, so concurrent use is safe.
+    and recomputation is idempotent, so concurrent use is safe; the same
+    holds for the quotient algebra of a zero-dimensional ideal.
     """
 
-    __slots__ = ("ring", "generators", "_cache")
+    __slots__ = ("ring", "generators", "_cache", "_algebra")
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]):
         gens = []
@@ -428,6 +437,7 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._cache: Dict[Tuple[str, int], GBResult] = {}
+        self._algebra: Optional[_StaircaseAlgebra] = None
 
     @property
     def is_zero(self) -> bool:
@@ -714,25 +724,23 @@ def _one_minus_t_power(d: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-_hilbert_cache: Dict[Tuple[Exponents, ...], Tuple[int, ...]] = {}
-
-
 def hilbert_series_monomial(gens: Iterable[Exponents], arity: int
                             ) -> Tuple[int, ...]:
     """Numerator N(t) of the Hilbert series N(t)/(1-t)^arity of R/M.
 
     M is given by monomial generators (minimalized here); computed by the
     standard pivot split  N_M = N_{M+(x_v)} + t * N_{M:x_v}  with pairwise
-    coprime base cases, and memoized.
+    coprime base cases, memoized within the call.
     """
     M = _minimalize_monomials(tuple(tuple(g) for g in gens))
+    memo: Dict[Tuple[Exponents, ...], Tuple[int, ...]] = {}
 
     def rec(mons: Tuple[Exponents, ...]) -> Tuple[int, ...]:
         if not mons:
             return (1,)
         if any(sum(m) == 0 for m in mons):
             return (0,)
-        hit = _hilbert_cache.get(mons)
+        hit = memo.get(mons)
         if hit is not None:
             return hit
         nontrivial = [m for m in mons if sum(1 for x in m if x) > 1]
@@ -755,7 +763,7 @@ def hilbert_series_monomial(gens: Iterable[Exponents], arity: int
                 if not unit_colon:
                     shifted = (0,) * sum(m) + colon
                     result = _poly1_sub(result, tuple(shifted))
-            _hilbert_cache[mons] = result
+            memo[mons] = result
             return result
         n = len(mons[0])
         counts = [0] * n
@@ -773,7 +781,7 @@ def hilbert_series_monomial(gens: Iterable[Exponents], arity: int
                   for m in mons)
         )
         result = _poly1_add(rec(added), (0,) + rec(colon))
-        _hilbert_cache[mons] = result
+        memo[mons] = result
         return result
 
     return rec(M)
@@ -924,31 +932,125 @@ def univariate_squarefree(p: Polynomial) -> Polynomial:
     return p.ring.polynomial({(i,): c / lc for i, c in enumerate(sf) if c})
 
 
+class _StaircaseAlgebra:
+    """Q[x]/I for a zero-dimensional I, on the basis of its degrevlex
+    staircase: the reduced basis as reducers, the standard monomials with
+    their positions, and the eliminants found so far."""
+
+    __slots__ = ("reducers", "staircase", "index", "eliminants")
+
+    def __init__(self, gb: GBResult, staircase: List[Exponents]):
+        self.reducers = [_ordered(g, DEGREVLEX) for g in gb.basis]
+        self.staircase = staircase
+        self.index = {b: k for k, b in enumerate(staircase)}
+        self.eliminants: Dict[int, Polynomial] = {}
+
+
+def _staircase_algebra(I: Ideal, guards: GuardConfig
+                       ) -> Optional[_StaircaseAlgebra]:
+    """The quotient algebra of I, built once per ideal; None when I is not
+    zero-dimensional."""
+    if I._algebra is None:
+        staircase = staircase_monomials(I, DEGREVLEX, guards)
+        if staircase is None:
+            return None
+        I._algebra = _StaircaseAlgebra(I.basis(DEGREVLEX, guards), staircase)
+    return I._algebra
+
+
+def _multiplication_columns(A: _StaircaseAlgebra, i: int,
+                            guards: GuardConfig) -> List[Dict[int, Fraction]]:
+    """Column b of M_{x_i}: the staircase coordinates of NF(x_i * b)."""
+    columns = []
+    for b in A.staircase:
+        _check_cancel(guards)
+        xb = b[:i] + (b[i] + 1,) + b[i + 1:]
+        k = A.index.get(xb)
+        if k is not None:
+            columns.append({k: Fraction(1)})
+        else:
+            nf = _global_nf([(xb, Fraction(1))], A.reducers, DEGREVLEX.key)
+            columns.append({A.index[e]: c for e, c in nf})
+    return columns
+
+
+def _minimal_polynomial(columns: List[Dict[int, Fraction]],
+                        guards: GuardConfig) -> List[Fraction]:
+    """Coefficients (constant first) of the monic minimal polynomial of the
+    matrix with these columns on the vector e_0, which is the coordinate
+    vector of 1 (the staircase starts at 1): the first linear dependency in
+    the Krylov sequence e_0, M e_0, M^2 e_0, ...  Each new vector is reduced
+    against an echelon form of the earlier ones, carrying its combination of
+    powers.  No columns (the unit ideal) give the polynomial 1."""
+    n = len(columns)
+    rows: List[Tuple[int, List[Fraction], List[Fraction]]] = []
+    v = [Fraction(int(j == 0)) for j in range(n)]
+    for k in itertools.count():
+        _check_cancel(guards)
+        w = list(v)
+        comb = [Fraction(0)] * k + [Fraction(1)]
+        for pivot, row, row_comb in rows:
+            c = w[pivot]
+            if c:
+                for j, x in enumerate(row):
+                    if x:
+                        w[j] -= c * x
+                for j, x in enumerate(row_comb):
+                    if x:
+                        comb[j] -= c * x
+        pivot = next((j for j, x in enumerate(w) if x), None)
+        if pivot is None:
+            return comb
+        inv = 1 / w[pivot]
+        rows.append((pivot, [x * inv for x in w], [x * inv for x in comb]))
+        nxt = [Fraction(0)] * n
+        for b, c in enumerate(v):
+            if c:
+                for j, x in columns[b].items():
+                    nxt[j] += c * x
+        v = nxt
+
+
 def univariate_eliminant(I: Ideal, var: Union[int, str],
                          guards: GuardConfig = DEFAULT_GUARDS) -> Polynomial:
-    """The monic generator of I ∩ QQ[var] (zero-dimensional I)."""
+    """The monic generator of I ∩ QQ[var], in the ring QQ[var].
+
+    I must be zero-dimensional; otherwise PreconditionError.  The result is
+    the minimal polynomial of the multiplication map M_{x_i} on Q[x]/I,
+    written on the degrevlex staircase (its degree is at most dim Q[x]/I);
+    the unit ideal gives 1.  No elimination order is involved, and the
+    quotient algebra is built once per ideal and shared by every variable.
+    """
     i = var if isinstance(var, int) else I.ring.index(var)
-    others = [j for j in range(I.ring.arity) if j != i]
-    if others:
-        J = eliminate(I, others, guards)
-    else:
-        J = I
-    gb = J.basis(DEGREVLEX, guards)
-    if len(gb.basis) != 1:
+    name = I.ring.variables[i]
+    A = _staircase_algebra(I, guards)
+    if A is None:
         raise PreconditionError(
-            f"no univariate eliminant in {I.ring.variables[i]}: "
+            f"no univariate eliminant in {name}: "
             "the ideal is not zero-dimensional"
         )
-    return gb.basis[0]
+    g = A.eliminants.get(i)
+    if g is None:
+        coeffs = _minimal_polynomial(_multiplication_columns(A, i, guards),
+                                     guards)
+        g = PolyRing((name,)).polynomial(
+            {(e,): c for e, c in enumerate(coeffs) if c})
+        A.eliminants[i] = g
+    return g
 
 
 def zero_dim_radical(I: Ideal, guards: GuardConfig = DEFAULT_GUARDS) -> Ideal:
-    """Radical of a zero-dimensional ideal via squarefree eliminants.
+    """Radical of a zero-dimensional ideal (PreconditionError otherwise).
 
-    The quotient dimension of the result equals the number of distinct
-    solutions over the algebraic closure (the rationals are perfect).
+    Seidenberg: the radical is I plus the squarefree parts of the univariate
+    eliminants.  Shape lemma: as soon as one eliminant is squarefree of
+    degree dim Q[x]/I, Q[x]/I is isomorphic to Q[t]/(g) and thus reduced,
+    so I itself is returned and no further eliminant is computed.  The
+    quotient dimension of the result equals the number of distinct solutions
+    over the algebraic closure (the rationals are perfect).
     """
-    if quotient_dimension(I, DEGREVLEX, guards) == INFINITY:
+    dim = quotient_dimension(I, DEGREVLEX, guards)
+    if dim == INFINITY:
         raise PreconditionError("zero_dim_radical needs a zero-dimensional ideal")
     extras: List[Polynomial] = []
     for i in range(I.ring.arity):
@@ -957,6 +1059,8 @@ def zero_dim_radical(I: Ideal, guards: GuardConfig = DEFAULT_GUARDS) -> Ideal:
         if sf != g:
             sub = [I.ring.var(i)]
             extras.append(sf.substitute(sub))
+        elif g.total_degree() == dim:
+            return I
     if not extras:
         return I
     enlarged = Ideal(I.ring, list(I.generators) + extras)

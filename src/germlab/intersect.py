@@ -29,6 +29,7 @@ from .gb import (
     radical_equal,
     radical_membership,
     squarefree_part,
+    zero_dim_radical,
 )
 from .germ import (
     fiber_points_count,
@@ -490,7 +491,7 @@ def stoll_check(F: PolyMap, y: Sequence[Union[int, Fraction]],
     with_mult = quotient_dimension(J, DEGREVLEX, guards)
     if with_mult == INFINITY:
         raise PreconditionError("fiber not finite")
-    distinct = fiber_points_count(F, y, distinct=True, guards=guards)
+    distinct = quotient_dimension(zero_dim_radical(J, guards), DEGREVLEX, guards)
     if distinct != with_mult:
         raise PreconditionError("Stoll check requires regular fiber")
     covering = local_multiplicity(F, guards)

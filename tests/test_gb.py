@@ -13,9 +13,11 @@ from germlab import (
     LOCAL_DEGREVLEX,
     GuardConfig,
     Ideal,
+    PolyMap,
     PolyRing,
     buchberger_basis,
     eliminate,
+    fiber_points_count,
     hilbert_series_monomial,
     ideal_equal,
     krull_dimension,
@@ -33,6 +35,7 @@ from germlab.gb import (
     ComputationCancelled,
     hilbert_series_coefficients,
     local_colength,
+    univariate_eliminant,
     univariate_squarefree,
 )
 from germlab import macaulay
@@ -458,6 +461,43 @@ def test_radical_requires_zero_dimensional():
         zero_dim_radical(Ideal(R2, [R2.var("x")]))
 
 
+def test_shape_lemma_exit_returns_the_ideal_after_one_eliminant():
+    # x takes the two values 1 and -1 once each: Q[x,y]/I = Q[x]/(x^2 - 1)
+    I = Ideal(R2, [P("x^2 - 1", R2), P("y - 2*x", R2)])
+    rad = zero_dim_radical(I)
+    assert rad is I
+    assert set(I._algebra.eliminants) == {0}
+
+
+def test_radical_when_no_variable_separates_the_points():
+    # (+-1, +-1): both eliminants are squarefree of degree 2 < 4
+    I = Ideal(R2, [P("x^2 - 1", R2), P("y^2 - 1", R2)])
+    rad = zero_dim_radical(I)
+    assert rad is I
+    assert quotient_dimension(rad) == 4
+    F = PolyMap((P("x^2", R2), P("y^2", R2)))
+    assert fiber_points_count(F, (1, 1)) == 4
+
+
+def test_radical_of_a_non_reduced_point():
+    I = Ideal(XYZ, [P("x^2", XYZ), P("y^2 - x", XYZ), P("z - y", XYZ)])
+    assert quotient_dimension(I) == 4
+    rad = zero_dim_radical(I)
+    assert quotient_dimension(rad) == 1
+    assert ideal_equal(rad, Ideal(XYZ, list(XYZ.gens())))
+
+
+def test_radical_of_a_fiber_with_a_double_point():
+    # over (2, 0): x^3 - 3x - 2 = (x - 2)(x + 1)^2, so x separates the points
+    # (2, 4) and (-1, 1) but its eliminant has degree 3 = length, not squarefree
+    F = PolyMap((P("x^3 - 3*x", R2), P("y - x^2", R2)))
+    I = Ideal(R2, [P("x^3 - 3*x - 2", R2), P("y - x^2", R2)])
+    assert univariate_eliminant(I, "x") == P("(x - 2)*(x + 1)*(x + 1)", R1)
+    assert quotient_dimension(zero_dim_radical(I)) == 2
+    assert fiber_points_count(F, (2, 0), distinct=False) == 3
+    assert fiber_points_count(F, (2, 0)) == 2
+
+
 def test_radical_never_grows_dimension():
     rng = SplitMix64(11)
     for _ in range(15):
@@ -468,6 +508,45 @@ def test_radical_never_grows_dimension():
         if d == INFINITY:
             continue
         assert quotient_dimension(zero_dim_radical(I)) <= d
+
+
+# -- univariate eliminants ----------------------------------------------------------
+
+
+def test_eliminant_of_the_unit_ideal_is_one():
+    g = univariate_eliminant(Ideal(R2, [P("x*y - 1", R2), R2.var("x")]), "y")
+    assert g == PolyRing(("y",)).one()
+
+
+@pytest.mark.parametrize("var", ["x", "y", 0, 1])
+def test_eliminant_needs_a_zero_dimensional_ideal(var):
+    with pytest.raises(PreconditionError) as info:
+        univariate_eliminant(Ideal(R2, [R2.var("x")]), var)
+    assert "not zero-dimensional" in str(info.value)
+
+
+def test_eliminant_is_the_minimal_polynomial():
+    # x = 2^(1/6) generates the algebra; y = x^3 = sqrt(2) has degree 2
+    I = Ideal(R2, [P("x^3 - y", R2), P("y^2 - 2", R2)])
+    assert univariate_eliminant(I, "x") == P("x^6 - 2", R1)
+    assert univariate_eliminant(I, 1) == P("y^2 - 2", PolyRing(("y",)))
+
+
+def test_eliminant_cancels_inside_the_krylov_loop():
+    I = Ideal(R2, [P("x^3 - y", R2), P("y^2 - 2", R2)])
+    dim = quotient_dimension(I)  # the basis is cached: no polls before M_x
+    polls = []
+
+    def cancel():
+        polls.append(1)
+        return len(polls) > dim + 2
+
+    with pytest.raises(ComputationCancelled):
+        univariate_eliminant(I, "x", GuardConfig(cancel=cancel))
+    # one poll per column of M_x, then the third Krylov step fires
+    assert len(polls) == dim + 3
+    assert not I._algebra.eliminants
+    assert univariate_eliminant(I, "x") == P("x^6 - 2", R1)
 
 
 # -- gcd / lcm / squarefree -----------------------------------------------------------
